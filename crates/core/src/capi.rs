@@ -8,7 +8,7 @@
 //! can drive different descriptors concurrently.
 
 use crate::config::AdocConfig;
-use crate::socket::{AdocSocket, AdocStreamGroup, SendReport};
+use crate::socket::AdocStreamGroup;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
@@ -16,96 +16,20 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Object-safe view of an [`AdocSocket`] so the registry can hold any
-/// stream type.
-trait AdocStreamObj: Send {
-    fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport>;
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize>;
-    fn send_file_levels(&mut self, f: &mut File, min: u8, max: u8) -> io::Result<SendReport>;
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64>;
-    fn close(&mut self) -> io::Result<()>;
-    fn min_level(&self) -> u8;
-    fn max_level(&self) -> u8;
+/// A registered connection: any reader/writer pair, boxed so the one
+/// registry holds every stream type.
+type Conn = AdocStreamGroup<Box<dyn Read + Send>, Box<dyn Write + Send>>;
+
+/// Boxes one stream pair for the registry.
+fn boxed<R, W>((reader, writer): (R, W)) -> (Box<dyn Read + Send>, Box<dyn Write + Send>)
+where
+    R: Read + Send + 'static,
+    W: Write + Send + 'static,
+{
+    (Box::new(reader), Box::new(writer))
 }
 
-/// Helper trait: `Write + Send` as a single object bound.
-pub trait WriteSend: Write + Send {}
-impl<T: Write + Send> WriteSend for T {}
-
-impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocSocket<R, W> {
-    fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
-        AdocSocket::write_levels(self, data, min, max)
-    }
-
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        AdocSocket::read(self, out)
-    }
-
-    fn send_file_levels(&mut self, f: &mut File, min: u8, max: u8) -> io::Result<SendReport> {
-        AdocSocket::send_file_levels(self, f, min, max)
-    }
-
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64> {
-        AdocSocket::receive_file(self, &mut WriteShim(f))
-    }
-
-    fn close(&mut self) -> io::Result<()> {
-        self.close_mut()
-    }
-
-    fn min_level(&self) -> u8 {
-        self.config().min_level
-    }
-
-    fn max_level(&self) -> u8 {
-        self.config().max_level
-    }
-}
-
-impl<R: Read + Send, W: Write + Send> AdocStreamObj for AdocStreamGroup<R, W> {
-    fn write_levels(&mut self, data: &[u8], min: u8, max: u8) -> io::Result<SendReport> {
-        AdocStreamGroup::write_levels(self, data, min, max)
-    }
-
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        AdocStreamGroup::read(self, out)
-    }
-
-    fn send_file_levels(&mut self, f: &mut File, min: u8, max: u8) -> io::Result<SendReport> {
-        AdocStreamGroup::send_file_levels(self, f, min, max)
-    }
-
-    fn receive_file(&mut self, f: &mut dyn WriteSend) -> io::Result<u64> {
-        AdocStreamGroup::receive_file(self, &mut WriteShim(f))
-    }
-
-    fn close(&mut self) -> io::Result<()> {
-        self.close_mut()
-    }
-
-    fn min_level(&self) -> u8 {
-        self.config().min_level
-    }
-
-    fn max_level(&self) -> u8 {
-        self.config().max_level
-    }
-}
-
-/// Adapter giving a `&mut dyn WriteSend` the `Write + Send` bounds the
-/// generic receive path wants.
-struct WriteShim<'a>(&'a mut dyn WriteSend);
-
-impl Write for WriteShim<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
-type Registry = Mutex<HashMap<i32, Arc<Mutex<Box<dyn AdocStreamObj>>>>>;
+type Registry = Mutex<HashMap<i32, Arc<Mutex<Conn>>>>;
 
 /// The C library's "static variable", `Mutex`-guarded exactly as §4.2
 /// describes.
@@ -116,7 +40,7 @@ fn registry() -> &'static Registry {
 
 static NEXT_FD: AtomicI32 = AtomicI32::new(3); // 0/1/2 are taken, as ever
 
-fn lookup(d: i32) -> io::Result<Arc<Mutex<Box<dyn AdocStreamObj>>>> {
+fn lookup(d: i32) -> io::Result<Arc<Mutex<Conn>>> {
     registry().lock().get(&d).cloned().ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -144,12 +68,7 @@ where
     R: Read + Send + 'static,
     W: Write + Send + 'static,
 {
-    let sock = AdocSocket::with_config(reader, writer, cfg)?;
-    let d = NEXT_FD.fetch_add(1, Ordering::Relaxed);
-    registry()
-        .lock()
-        .insert(d, Arc::new(Mutex::new(Box::new(sock))));
-    Ok(d)
+    adoc_register_group(vec![(reader, writer)], cfg)
 }
 
 /// Registers a striped stream group as one descriptor: the paper's API
@@ -161,11 +80,9 @@ where
     R: Read + Send + 'static,
     W: Write + Send + 'static,
 {
-    let group = AdocStreamGroup::from_pairs(pairs, cfg)?;
+    let group = AdocStreamGroup::from_pairs(pairs.into_iter().map(boxed).collect(), cfg)?;
     let d = NEXT_FD.fetch_add(1, Ordering::Relaxed);
-    registry()
-        .lock()
-        .insert(d, Arc::new(Mutex::new(Box::new(group))));
+    registry().lock().insert(d, Arc::new(Mutex::new(group)));
     Ok(d)
 }
 
@@ -176,7 +93,7 @@ pub fn adoc_write(d: i32, buf: &[u8], slen: Option<&mut i64>) -> io::Result<usiz
     let (min, max) = {
         let s = lookup(d)?;
         let g = s.lock();
-        (g.min_level(), g.max_level())
+        (g.config().min_level, g.config().max_level)
     };
     adoc_write_levels(d, buf, slen, min, max)
 }
@@ -213,7 +130,7 @@ pub fn adoc_send_file(d: i32, file: &mut File, slen: Option<&mut i64>) -> io::Re
     let (min, max) = {
         let s = lookup(d)?;
         let g = s.lock();
-        (g.min_level(), g.max_level())
+        (g.config().min_level, g.config().max_level)
     };
     adoc_send_file_levels(d, file, slen, min, max)
 }
@@ -252,7 +169,7 @@ pub fn adoc_close(d: i32) -> io::Result<()> {
             format!("bad AdOC descriptor {d}"),
         )
     })?;
-    let result = entry.lock().close();
+    let result = entry.lock().close_mut();
     result
 }
 

@@ -89,16 +89,13 @@ pub struct AdocConfig {
     /// Per-connection delay-signal hub ([`crate::signals`]): the sender
     /// feeds its emission delays in, the receiver feeds wire-timestamp
     /// arrivals in, and the level policy / server scheduler read
-    /// snapshots out. `None` leaves the connection signal-less (the
-    /// socket constructors install a fresh hub when `delay_signals` is
-    /// on); clones share the hub, which is the point — one connection's
-    /// send and receive halves must meet in the same hub.
+    /// snapshots out. While a hub is present, outgoing v2 frames carry
+    /// departure stamps ([`crate::wire::FRAME_TS_FLAG`]); v1 framing
+    /// never does. `None` leaves the connection signal-less (the socket
+    /// constructors install a fresh hub); clones share the hub, which is
+    /// the point — one connection's send and receive halves must meet in
+    /// the same hub.
     pub signals: Option<Arc<SignalHub>>,
-    /// Stamp departure timestamps into outgoing v2 frames
-    /// ([`crate::wire::FRAME_TS_FLAG`]) and run the delay estimators.
-    /// Off the wire is byte-identical to the previous release; v1
-    /// (single-stream) framing never carries timestamps either way.
-    pub delay_signals: bool,
     /// Builds the [`LevelPolicy`] each pipeline's controller consults;
     /// defaults to [`DelayAwarePolicy`].
     pub policy: LevelPolicyFactory,
@@ -144,7 +141,6 @@ impl Default for AdocConfig {
             throttle: Arc::new(NoThrottle),
             pool: BufferPool::default(),
             signals: None,
-            delay_signals: true,
             policy: Arc::new(|| Box::new(DelayAwarePolicy::default())),
         }
     }
@@ -196,24 +192,20 @@ impl AdocConfig {
         (self.policy)()
     }
 
-    /// Installs a fresh hub when delay signals are on and none is
-    /// present yet. The socket constructors call this so every clone of
-    /// a connection's config (each `write` clones it) shares one hub —
-    /// the send and receive halves must meet in the same estimators.
+    /// Installs a fresh hub when none is present yet. The socket
+    /// constructors call this so every clone of a connection's config
+    /// (each `write` clones it) shares one hub — the send and receive
+    /// halves must meet in the same estimators.
     pub fn ensure_signal_hub(&mut self) {
-        if self.delay_signals && self.signals.is_none() {
+        if self.signals.is_none() {
             self.signals = Some(Arc::new(SignalHub::new()));
         }
     }
 
-    /// The connection's signal hub, but only while delay signals are
-    /// enabled — the single gate every producer and consumer shares.
+    /// The connection's signal hub, if any — the single gate every
+    /// producer and consumer shares.
     pub fn signal_hub(&self) -> Option<&SignalHub> {
-        if self.delay_signals {
-            self.signals.as_deref()
-        } else {
-            None
-        }
+        self.signals.as_deref()
     }
 
     /// True when the caller forces compression on (paper: `min` set above

@@ -15,8 +15,9 @@
 //! * an **emission thread** drains the queue onto the socket;
 //! * the queue's length and growth drive the level up and down
 //!   ([`adapt`], the paper's Fig. 2);
-//! * the receiving side mirrors this with reception + decompression
-//!   threads ([`receiver`]);
+//! * the receiving side mirrors this: a reception loop per stream feeds
+//!   a bounded reorder window that the caller's thread decompresses in
+//!   order ([`receiver`]);
 //! * production heuristics (paper §5): a direct no-thread path for
 //!   messages < 512 KB, a 256 KB uncompressed probe that disables
 //!   compression on > 500 Mbit/s links, a divergence guard driven by
@@ -25,12 +26,19 @@
 //!
 //! Levels: 0 = none, 1 = LZF, 2..=10 = DEFLATE 1..=9 (see `adoc-codec`).
 //!
+//! One pipeline serves every connection: [`sender::send_message`] and
+//! [`receiver::receive_message`] take the stream count from their slice
+//! of writers/readers and an optional resume point, and derive the wire
+//! framing from those inputs (the paper's v1 format for a fresh message
+//! over one stream, v2 with sequence numbers otherwise).
+//!
 //! ## Two APIs
 //!
-//! * [`AdocSocket`] — idiomatic: wraps any `Read`/`Write` pair.
-//!   [`AdocStreamGroup`] stripes one logical connection over `N`
-//!   parallel streams (per-stream compression pipelines and congestion
-//!   windows; in-order reassembly via sequence numbers — see [`wire`]).
+//! * [`AdocStreamGroup`] — idiomatic: stripes one logical connection over
+//!   `N` `Read`/`Write` pairs (per-stream compression pipelines and
+//!   congestion windows; in-order reassembly via sequence numbers — see
+//!   [`wire`]). [`AdocSocket`] is the one-stream group, wrapping a single
+//!   pair.
 //! * [`capi`] — the paper's seven functions over integer descriptors
 //!   (`adoc_write`, `adoc_read`, `adoc_send_file`, …), thread-safe via a
 //!   locked global registry like the C library's static table;
@@ -84,9 +92,10 @@ pub use error::AdocError;
 pub use hist::{HistSnapshot, HistSummary, Histogram};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use receiver::RecvProgress;
+pub use sender::ResumePoint;
 pub use session::{SessionTicket, TicketError, TicketKey, TICKET_LEN};
 pub use signals::{CongestionState, DelaySnapshot, SignalHub, SignalSource};
-pub use socket::{AdocSocket, AdocStreamGroup, ResumePoint, SendReport, SessionInfo};
+pub use socket::{AdocSocket, AdocStreamGroup, SendReport, SessionInfo};
 pub use stats::{LevelEvent, StreamSendStats, TransferStats};
 pub use throttle::{NoThrottle, SleepThrottle, Throttle};
 

@@ -1,83 +1,43 @@
 //! The reception side of AdOC (paper Fig. 1, "symmetric but does not
-//! monitor the queue size"): a reception thread reading frames off the
-//! socket into a FIFO, and a decompression thread draining it into the
-//! application sink.
+//! monitor the queue size"), mirroring [`crate::sender`] for any stream
+//! count, fresh or resumed: one reception loop per stream reads frames off
+//! its socket into a shared, bounded `ReorderBuffer`, and the calling
+//! thread decompresses frames in global sequence order into the
+//! application sink — so the application sees bytes **in order** no matter
+//! how the streams interleaved.
 //!
-//! [`receive_message`] mirrors the single-stream (v1) sender.
-//! [`receive_message_multi`] mirrors a striped sender: one reception
-//! thread per stream reads v2 frames into a shared, bounded
-//! [`ReorderBuffer`], and a decompression thread drains frames in global
-//! sequence order — so the application sees bytes **in order** no matter
-//! how the streams interleaved. Payloads live in pooled buffers from the
-//! shared [`BufferPool`]; the reorder window is capped at a few frames
-//! per stream, so a stalled stream backpressures its peers instead of
-//! buffering unboundedly.
+//! [`receive_message`] derives the framing like the sender does: v1
+//! frames carry no sequence numbers, so a v1 reception loop numbers them
+//! locally and stops once the message's raw length has arrived; v2 loops
+//! read the sequence numbers off the wire and stop at their stream's FIN.
+//! Payloads live in pooled buffers from the shared
+//! [`BufferPool`](crate::pool::BufferPool); the reorder window is capped
+//! at a few frames per stream, so a slow decompressor or a stalled stream
+//! backpressures the network promptly — the signal the sender's
+//! divergence guard reacts to — instead of buffering unboundedly.
 
 use crate::config::AdocConfig;
 use crate::pool::PooledBuf;
-use crate::queue::{Packet, PacketQueue};
+use crate::sender::Framing;
 use crate::wire::{self, FrameHeader, FrameHeaderV2, MsgKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Frames buffered between the reception and decompression threads. Kept
-/// small so a slow decompressor backpressures the network promptly —
-/// that is the signal the sender's divergence guard reacts to.
-const RECV_QUEUE_FRAMES: usize = 16;
-
-/// Reorder-window frames buffered per stream of a striped connection
-/// (same backpressure rationale as [`RECV_QUEUE_FRAMES`], scaled by the
-/// stream count).
+/// Reorder-window frames buffered per stream (at least 4 in total).
 const REORDER_FRAMES_PER_STREAM: usize = 2;
 
-/// Receives one message, streaming its decoded bytes into `sink`.
-///
-/// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
-/// full message.
-pub fn receive_message<R, K>(
-    reader: &mut R,
-    sink: &mut K,
-    cfg: &AdocConfig,
-) -> io::Result<Option<u64>>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let Some((kind, raw_len)) = wire::read_msg_header(reader)? else {
-        return Ok(None);
-    };
-    if raw_len > cfg.max_message {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message of {raw_len} bytes exceeds configured maximum"),
-        ));
-    }
-
-    match kind {
-        MsgKind::Direct => {
-            copy_exact(reader, sink, raw_len, cfg.buffer_size, cfg)?;
-            Ok(Some(raw_len))
-        }
-        MsgKind::Adaptive => {
-            receive_adaptive(reader, sink, raw_len, cfg)?;
-            Ok(Some(raw_len))
-        }
-    }
-}
-
-/// Live progress of a striped receive, exposed so a session-serving
-/// caller can park a partially-delivered message when the connection
-/// dies and continue it on the next one. Only the striped adaptive path
-/// reports progress: direct bodies and v1 (single-stream) framing have
-/// no global sequence numbers, so an interrupted message there restarts
-/// from its beginning.
+/// Live progress of a receive, exposed so a session-serving caller can
+/// park a partially-delivered message when the connection dies and
+/// continue it on the next one (by passing the parked progress back as
+/// the `resume` of [`receive_message`]). Only v2-framed adaptive messages
+/// are resumable: direct bodies and v1 framing have no global sequence
+/// numbers, so an interrupted message there restarts from its beginning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecvProgress {
-    /// A trackable (striped adaptive) message is in flight. Cleared once
-    /// the message completes — a partial exists only while this is set.
+    /// A resumable (v2 adaptive) message is in flight. Cleared once the
+    /// message completes — a partial exists only while this is set.
     pub active: bool,
     /// Raw length of the in-flight message.
     pub total_raw: u64,
@@ -95,27 +55,25 @@ impl RecvProgress {
     }
 }
 
-/// Receives one message from a striped stream group (`readers[0]` is the
-/// primary stream). With one reader this is exactly [`receive_message`].
-pub fn receive_message_multi<R, K>(
+/// Receives one message from a group of streams (`readers[0]` is the
+/// primary), streaming its decoded bytes into `sink` and reporting
+/// delivery through `progress` — on error, `progress` (plus the bytes
+/// already in the sink) defines the resume point a session server parks.
+///
+/// With `resume` (a previously parked progress), this continues that
+/// message instead of reading a new one: the peer ships frames
+/// `resume.next_seq..` of a `resume.total_raw`-byte message whose first
+/// `resume.delivered_raw` bytes the caller already holds. No message
+/// header and no probe are read and the framing is v2 at any width
+/// (mirroring [`crate::sender::send_message`]); frames numbered below
+/// `next_seq` — replays — are rejected as duplicates.
+///
+/// Returns `Ok(None)` on clean end-of-stream, `Ok(Some(raw_len))` after a
+/// full message.
+pub fn receive_message<R, K>(
     readers: &mut [R],
     sink: &mut K,
-    cfg: &AdocConfig,
-) -> io::Result<Option<u64>>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let mut progress = RecvProgress::default();
-    receive_message_multi_tracked(readers, sink, cfg, &mut progress)
-}
-
-/// [`receive_message_multi`] that additionally reports delivery progress
-/// through `progress` — on error, `progress` (plus the bytes already in
-/// the sink) defines the resume point a session server parks.
-pub fn receive_message_multi_tracked<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
+    resume: Option<RecvProgress>,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
 ) -> io::Result<Option<u64>>
@@ -127,107 +85,49 @@ where
         !readers.is_empty(),
         "a stream group needs at least 1 stream"
     );
+    let framing = Framing::of(readers.len(), resume.is_some());
     progress.reset();
-    if readers.len() == 1 {
-        return receive_message(&mut readers[0], sink, cfg);
-    }
-    let Some((kind, raw_len)) = wire::read_msg_header(&mut readers[0])? else {
-        return Ok(None);
-    };
-    if raw_len > cfg.max_message {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message of {raw_len} bytes exceeds configured maximum"),
-        ));
-    }
-    match kind {
-        MsgKind::Direct => {
-            copy_exact(&mut readers[0], sink, raw_len, cfg.buffer_size, cfg)?;
-            Ok(Some(raw_len))
+    let remaining = match resume {
+        Some(at) => {
+            let remaining = at.total_raw.checked_sub(at.delivered_raw).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "resume point beyond message length",
+                )
+            })?;
+            *progress = RecvProgress { active: true, ..at };
+            remaining
         }
-        MsgKind::Adaptive => {
-            progress.active = true;
+        None => {
+            let Some((kind, raw_len)) = wire::read_msg_header(&mut readers[0])? else {
+                return Ok(None);
+            };
+            if raw_len > cfg.max_message {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("message of {raw_len} bytes exceeds configured maximum"),
+                ));
+            }
+            if kind == MsgKind::Direct {
+                copy_exact(&mut readers[0], sink, raw_len, cfg.buffer_size, cfg)?;
+                return Ok(Some(raw_len));
+            }
+            progress.active = framing == Framing::V2;
             progress.total_raw = raw_len;
-            receive_adaptive_striped(readers, sink, raw_len, cfg, progress)?;
-            progress.active = false;
-            Ok(Some(raw_len))
+            let probe_len = read_probe_prefix(&mut readers[0], sink, raw_len, cfg)?;
+            progress.delivered_raw = probe_len;
+            raw_len - probe_len
         }
-    }
-}
-
-/// Continues a striped message interrupted mid-delivery: the peer ships
-/// frames `next_seq..` of a `total_raw`-byte message whose first
-/// `delivered_raw` bytes the caller already holds. No message header and
-/// no probe are read; framing is always v2, even over a single stream
-/// (mirroring [`crate::sender::send_message_multi_resumed`]). Frames
-/// with sequence numbers below `next_seq` — replays — are rejected as
-/// duplicates. Returns `total_raw` on completion.
-pub fn receive_message_multi_resumed<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
-    total_raw: u64,
-    delivered_raw: u64,
-    next_seq: u64,
-    cfg: &AdocConfig,
-    progress: &mut RecvProgress,
-) -> io::Result<u64>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    assert!(
-        !readers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
-    let remaining = total_raw.checked_sub(delivered_raw).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "resume point beyond message length",
-        )
-    })?;
-    progress.active = true;
-    progress.total_raw = total_raw;
-    progress.delivered_raw = delivered_raw;
-    progress.next_seq = next_seq;
-    // Even with nothing left to deliver the peer sends its per-stream
-    // FINs, which must be consumed here or they would corrupt the next
+    };
+    // A fresh message fully covered by its probe has no frames and no
+    // FINs; a resumed one always ends with the peer's per-stream FINs,
+    // which must be consumed here or they would corrupt the next
     // message's parse.
-    striped_body(readers, sink, remaining, next_seq, cfg, progress)?;
-    progress.active = false;
-    Ok(total_raw)
-}
-
-fn receive_adaptive<R, K>(
-    reader: &mut R,
-    sink: &mut K,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<()>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let probe_len = read_probe_prefix(reader, sink, raw_len, cfg)?;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        return Ok(());
+    if remaining > 0 || resume.is_some() {
+        receive_frames(readers, sink, remaining, framing, cfg, progress)?;
     }
-
-    // Reception + decompression overlap (paper §3.1), mirrored from the
-    // sender but with a fixed small queue.
-    let queue = PacketQueue::new(RECV_QUEUE_FRAMES);
-    let (recv_res, decomp_res) = std::thread::scope(|s| {
-        let recv = s.spawn(|| reception_thread(reader, remaining, &queue, cfg));
-        let decomp = s.spawn(|| decompression_thread(sink, remaining, &queue, cfg));
-        (recv.join(), decomp.join())
-    });
-    let recv = recv_res.map_err(|_| io::Error::other("reception thread panicked"))?;
-    let decomp = decomp_res.map_err(|_| io::Error::other("decompression thread panicked"))?;
-    // Prefer the decoder's error (it poisons the queue, which the
-    // reception thread sees as Closed).
-    decomp?;
-    recv?;
-    Ok(())
+    progress.active = false;
+    Ok(Some(progress.total_raw))
 }
 
 /// Reads and validates the probe-length prefix, copying the probe bytes
@@ -249,43 +149,8 @@ fn read_probe_prefix<R: Read, K: Write>(
     Ok(probe_len)
 }
 
-fn reception_thread<R: Read>(
-    reader: &mut R,
-    total_raw: u64,
-    queue: &PacketQueue,
-    cfg: &AdocConfig,
-) -> io::Result<()> {
-    // Panic-safe end-of-stream for the decompression thread: every exit
-    // (error, panic, success) closes the queue.
-    let _close = queue.close_on_drop();
-    let mut collected = 0u64;
-    while collected < total_raw {
-        let fh = FrameHeader::read(reader, adoc_codec::ADOC_MAX_LEVEL)?;
-        if u64::from(fh.raw_len) + collected > total_raw {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frames exceed message length",
-            ));
-        }
-        check_payload_bound(fh.raw_len, fh.payload_len, cfg)?;
-        // Pooled payload buffer, filled through `Take` so the reserved
-        // capacity is never zeroed first; it returns to the slab once
-        // the decompression thread drops the packet.
-        let payload = read_payload(reader, fh.payload_len, cfg)?;
-        collected += u64::from(fh.raw_len);
-        let len = payload.len();
-        let pkt = Packet::view(Arc::new(payload), 0, len, fh.level, fh.raw_len);
-        if queue.push(pkt).is_err() {
-            // Decoder failed; its error wins.
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// Sanity bound shared by both wire versions: a frame payload can exceed
-/// its raw size only by small codec overhead; anything larger is
-/// corruption.
+/// Sanity bound shared by both framings: a frame payload can exceed its
+/// raw size only by small codec overhead; anything larger is corruption.
 fn check_payload_bound(raw_len: u32, payload_len: u32, cfg: &AdocConfig) -> io::Result<()> {
     if u64::from(payload_len) > 2 * u64::from(raw_len).max(cfg.buffer_size as u64) + 1024 {
         return Err(io::Error::new(
@@ -296,7 +161,8 @@ fn check_payload_bound(raw_len: u32, payload_len: u32, cfg: &AdocConfig) -> io::
     Ok(())
 }
 
-/// Reads exactly `payload_len` bytes into a pooled buffer, acquiring
+/// Reads exactly `payload_len` bytes into a pooled buffer (filled through
+/// `Take`, so the reserved capacity is never zeroed first), acquiring
 /// wire budget first — inbound pacing: a throttled reader drains the
 /// socket at its share, and TCP backpressure slows the greedy sender.
 fn read_payload<R: Read>(
@@ -318,40 +184,6 @@ fn read_payload<R: Read>(
         )),
         Err(e) => Err(e),
     }
-}
-
-fn decompression_thread<K: Write>(
-    sink: &mut K,
-    total_raw: u64,
-    queue: &PacketQueue,
-    cfg: &AdocConfig,
-) -> io::Result<()> {
-    // Panic-safe: any exit unblocks a reception thread waiting for queue
-    // space (poisoning after the producer finished is a no-op).
-    let _poison = queue.poison_on_drop();
-    let mut produced = 0u64;
-    // Decode scratch: pooled, reused across every frame of the message,
-    // and decompress_at appends into it directly (no intermediate vector
-    // inside the codec either).
-    let mut scratch = cfg.pool.get(cfg.buffer_size);
-    while let Some(pkt) = queue.pop() {
-        let raw_len = pkt.raw_share as usize;
-        scratch.clear();
-        let t0 = Instant::now();
-        if let Err(e) = adoc_codec::decompress_at(pkt.level, pkt.bytes(), raw_len, &mut scratch) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-        }
-        cfg.throttle.charge(t0.elapsed());
-        sink.write_all(&scratch)?;
-        produced += raw_len as u64;
-    }
-    if produced != total_raw {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("message truncated: {produced} of {total_raw} bytes"),
-        ));
-    }
-    Ok(())
 }
 
 /// Why a [`ReorderBuffer::push`] was refused.
@@ -383,9 +215,9 @@ struct ReorderInner {
     failed: bool,
 }
 
-/// The shared reassembly window of a striped receive: reception threads
+/// The shared reassembly window of a receive: reception loops
 /// [`push`](ReorderBuffer::push) frames keyed by global sequence number,
-/// the decompression thread [`pop_next`](ReorderBuffer::pop_next)s them
+/// the decompression stage [`pop_next`](ReorderBuffer::pop_next)s them
 /// in order. Bounded: a push beyond the window blocks — **except** for
 /// the frame the consumer is waiting on (`seq == next`), which is always
 /// admitted so a full window can never deadlock the pipeline.
@@ -484,7 +316,7 @@ impl ReorderBuffer {
         self.can_pop.notify_all();
     }
 
-    /// Consumer signals death: wakes reception threads blocked in `push`.
+    /// Consumer signals death: wakes reception loops blocked in `push`.
     fn fail(&self) {
         let mut g = self.inner.lock();
         g.failed = true;
@@ -497,7 +329,7 @@ impl ReorderBuffer {
 
 /// Fires [`ReorderBuffer::abort`] on drop unless disarmed — the
 /// reception-thread counterpart of the queue guards: an error or panic
-/// must never strand the decompression thread waiting on a frame that
+/// must never strand the decompression stage waiting on a frame that
 /// will never come.
 struct AbortOnDrop<'a> {
     rb: &'a ReorderBuffer,
@@ -513,7 +345,7 @@ impl Drop for AbortOnDrop<'_> {
 }
 
 /// Fires [`ReorderBuffer::fail`] on drop — held by the decompression
-/// thread; a no-op for reception threads that already finished.
+/// stage; a no-op for reception loops that already finished.
 struct FailOnDrop<'a> {
     rb: &'a ReorderBuffer,
 }
@@ -524,35 +356,15 @@ impl Drop for FailOnDrop<'_> {
     }
 }
 
-fn receive_adaptive_striped<R, K>(
-    readers: &mut [R],
-    sink: &mut K,
-    raw_len: u64,
-    cfg: &AdocConfig,
-    progress: &mut RecvProgress,
-) -> io::Result<()>
-where
-    R: Read + Send,
-    K: Write + Send,
-{
-    let probe_len = read_probe_prefix(&mut readers[0], sink, raw_len, cfg)?;
-    progress.delivered_raw = probe_len;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        return Ok(());
-    }
-    striped_body(readers, sink, remaining, 0, cfg, progress)
-}
-
-/// The frame stage of a striped receive: per-stream reception threads
-/// feed a reorder window drained in global-sequence order on the calling
-/// thread. Shared by the fresh path (after the probe, `start_seq` 0) and
-/// the resume path (no probe, `start_seq` = the parked cursor).
-fn striped_body<R, K>(
+/// The frame stage of a receive: per-stream reception loops feed a reorder
+/// window drained in global-sequence order on the calling thread, from
+/// `progress.next_seq` on (0 for a fresh message, the parked cursor for a
+/// resumed one).
+fn receive_frames<R, K>(
     readers: &mut [R],
     sink: &mut K,
     remaining: u64,
-    start_seq: u64,
+    framing: Framing,
     cfg: &AdocConfig,
     progress: &mut RecvProgress,
 ) -> io::Result<()>
@@ -561,20 +373,22 @@ where
     K: Write + Send,
 {
     let n = readers.len();
+    let start_seq = progress.next_seq;
     let reorder = ReorderBuffer::new(n, start_seq);
     let (recv_res, decomp_res) = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
         for (i, r) in readers.iter_mut().enumerate() {
             let rb = &reorder;
-            handles.push(s.spawn(move || stream_reception_thread(i as u8, r, rb, cfg)));
+            handles.push(
+                s.spawn(move || reception_loop(i as u8, framing, r, remaining, start_seq, rb, cfg)),
+            );
         }
-        // The decompression stage runs on the calling thread; panics are
-        // contained so a dying codec/throttle/sink surfaces as io::Error
-        // here exactly as it does on the single-stream path (the fail
-        // guard has already released the reception threads by the time
-        // the unwind is caught).
+        // Decompression runs on the calling thread; panics are contained
+        // so a dying codec/throttle/sink surfaces as io::Error (the fail
+        // guard has already released the reception loops by the time the
+        // unwind is caught).
         let decomp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            striped_decompression(sink, remaining, &reorder, cfg, progress)
+            decompress_in_order(sink, remaining, &reorder, cfg, progress)
         }))
         .unwrap_or_else(|_| Err(io::Error::other("decompression stage panicked")));
         (
@@ -585,7 +399,7 @@ where
 
     // A reception (socket) error is the root cause when present — the
     // consumer's "truncated" error is its downstream symptom. Decode and
-    // sink failures surface from the consumer, whose reception threads
+    // sink failures surface from the consumer, whose reception loops
     // then end quietly.
     let mut recv_err: Option<io::Error> = None;
     for res in recv_res {
@@ -600,9 +414,17 @@ where
     decomp_res
 }
 
-fn stream_reception_thread<R: Read>(
+/// One stream's reception loop: reads frame headers and payloads off
+/// `reader` and parks them in the reorder window until the stream ends —
+/// at its FIN (v2), or once `total_raw` bytes have arrived (v1, which has
+/// no FIN and no sequence numbers: frames are numbered locally from
+/// `start_seq`).
+fn reception_loop<R: Read>(
     stream_id: u8,
+    framing: Framing,
     reader: &mut R,
+    total_raw: u64,
+    start_seq: u64,
     reorder: &ReorderBuffer,
     cfg: &AdocConfig,
 ) -> io::Result<()> {
@@ -611,8 +433,24 @@ fn stream_reception_thread<R: Read>(
         armed: true,
     };
     let mut frames_seen = 0u64;
+    let mut collected = 0u64;
     loop {
-        let fh = FrameHeaderV2::read(reader, adoc_codec::ADOC_MAX_LEVEL)?;
+        let fh = match framing {
+            Framing::V2 => FrameHeaderV2::read(reader, adoc_codec::ADOC_MAX_LEVEL)?,
+            Framing::V1 if collected == total_raw => FrameHeaderV2::fin(stream_id, frames_seen),
+            Framing::V1 => {
+                let h = FrameHeader::read(reader, adoc_codec::ADOC_MAX_LEVEL)?;
+                if u64::from(h.raw_len) + collected > total_raw {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "frames exceed message length",
+                    ));
+                }
+                collected += u64::from(h.raw_len);
+                let seq = start_seq + frames_seen;
+                FrameHeaderV2::data(h.level, stream_id, seq, h.raw_len, h.payload_len)
+            }
+        };
         if fh.stream != stream_id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -671,7 +509,10 @@ fn stream_reception_thread<R: Read>(
     }
 }
 
-fn striped_decompression<K: Write>(
+/// The decompression stage: drains the reorder window in sequence order,
+/// decoding each frame into a pooled scratch buffer reused across the
+/// whole message, and advances `progress` frame by frame.
+fn decompress_in_order<K: Write>(
     sink: &mut K,
     total_raw: u64,
     reorder: &ReorderBuffer,
@@ -740,16 +581,52 @@ fn copy_exact<R: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::{send_message, send_message_multi, send_message_multi_resumed};
+    use crate::sender::{send_message, ResumePoint};
     use std::io::Cursor;
+
+    /// One fresh message off `readers`, progress discarded.
+    fn recv<R: Read + Send, K: Write + Send>(
+        readers: &mut [R],
+        sink: &mut K,
+        cfg: &AdocConfig,
+    ) -> io::Result<Option<u64>> {
+        receive_message(readers, sink, None, cfg, &mut RecvProgress::default())
+    }
+
+    /// Continues a parked `total_raw`-byte message from the given point.
+    fn receive_resumed<R: Read + Send, K: Write + Send>(
+        readers: &mut [R],
+        sink: &mut K,
+        total_raw: u64,
+        delivered_raw: u64,
+        next_seq: u64,
+        cfg: &AdocConfig,
+        progress: &mut RecvProgress,
+    ) -> io::Result<u64> {
+        let at = RecvProgress {
+            active: true,
+            total_raw,
+            delivered_raw,
+            next_seq,
+        };
+        receive_message(readers, sink, Some(at), cfg, progress)
+            .map(|n| n.expect("a resumed receive always ends a message"))
+    }
 
     fn roundtrip_with(cfg_tx: &AdocConfig, cfg_rx: &AdocConfig, data: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
         let mut src = data;
-        send_message(&mut wire, &mut src, data.len() as u64, cfg_tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            cfg_tx,
+        )
+        .unwrap();
         let mut c = Cursor::new(wire);
         let mut out = Vec::new();
-        let got = receive_message(&mut c, &mut out, cfg_rx).unwrap();
+        let got = recv(std::slice::from_mut(&mut c), &mut out, cfg_rx).unwrap();
         assert_eq!(got, Some(data.len() as u64));
         out
     }
@@ -764,10 +641,10 @@ mod tests {
     ) -> Vec<u8> {
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = data;
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, cfg_tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, cfg_tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let got = receive_message_multi(&mut cursors, &mut out, cfg_rx).unwrap();
+        let got = recv(&mut cursors, &mut out, cfg_rx).unwrap();
         assert_eq!(got, Some(data.len() as u64));
         out
     }
@@ -907,14 +784,13 @@ mod tests {
         let data = compressible(2 << 20);
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
         // Cut one secondary stream mid-frame.
         let cut = sinks[1].len() / 2;
         sinks[1].truncate(cut);
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let err =
-            receive_message_multi(&mut cursors, &mut out, &AdocConfig::default()).unwrap_err();
+        let err = recv(&mut cursors, &mut out, &AdocConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -932,14 +808,14 @@ mod tests {
         let data = compressible(700_000); // 4 frames: stream 1 carries 1, 3
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
         // Stream 1's first frame header starts at byte 0 of sinks[1];
         // its seq field sits at bytes 2..10. Rewrite seq 1 → 3 so two
         // frames claim seq 3.
         sinks[1][2..10].copy_from_slice(&3u64.to_le_bytes());
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let res = receive_message_multi(&mut cursors, &mut out, &AdocConfig::default());
+        let res = recv(&mut cursors, &mut out, &AdocConfig::default());
         assert!(res.is_err(), "duplicate sequence must be rejected");
     }
 
@@ -956,18 +832,15 @@ mod tests {
             let tx = AdocConfig::default().with_levels(1, 10);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
             let mut src = &data[delivered as usize..];
-            send_message_multi_resumed(
-                &mut sinks,
-                &mut src,
-                data.len() as u64 - delivered,
+            let at = ResumePoint {
                 next_seq,
-                &tx,
-            )
-            .unwrap();
+                delivered_raw: delivered,
+            };
+            send_message(&mut sinks, &mut src, data.len() as u64, Some(at), &tx).unwrap();
             let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
             let mut out = data[..delivered as usize].to_vec();
             let mut progress = RecvProgress::default();
-            let n = receive_message_multi_resumed(
+            let n = receive_resumed(
                 &mut cursors,
                 &mut out,
                 data.len() as u64,
@@ -993,14 +866,18 @@ mod tests {
         let tx = AdocConfig::default();
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src: &[u8] = b"";
-        send_message_multi_resumed(&mut sinks, &mut src, 0, 5, &tx).unwrap();
+        let at = ResumePoint {
+            next_seq: 5,
+            delivered_raw: 0,
+        };
+        send_message(&mut sinks, &mut src, 0, Some(at), &tx).unwrap();
         for s in &sinks {
             assert_eq!(s.len(), wire::FRAME_HEADER_V2_LEN, "FIN only");
         }
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
         let mut progress = RecvProgress::default();
-        let n = receive_message_multi_resumed(
+        let n = receive_resumed(
             &mut cursors,
             &mut out,
             100,
@@ -1024,11 +901,12 @@ mod tests {
         let tx = AdocConfig::default().with_levels(1, 10);
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 2];
         let mut src = &data[..];
-        send_message_multi_resumed(&mut sinks, &mut src, data.len() as u64, 0, &tx).unwrap();
+        let at = Some(ResumePoint::default());
+        send_message(&mut sinks, &mut src, data.len() as u64, at, &tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
         let mut progress = RecvProgress::default();
-        let err = receive_message_multi_resumed(
+        let err = receive_resumed(
             &mut cursors,
             &mut out,
             2 * data.len() as u64,
@@ -1047,7 +925,7 @@ mod tests {
         let mut cursors: Vec<Cursor<Vec<u8>>> = vec![Cursor::new(Vec::new())];
         let mut out = Vec::new();
         let mut progress = RecvProgress::default();
-        let err = receive_message_multi_resumed(
+        let err = receive_resumed(
             &mut cursors,
             &mut out,
             10,
@@ -1065,12 +943,40 @@ mod tests {
         let cfg = AdocConfig::default();
         let mut c = Cursor::new(Vec::<u8>::new());
         let mut out = Vec::new();
-        assert!(receive_message(&mut c, &mut out, &cfg).unwrap().is_none());
-        // Same through the striped entry point.
-        let mut cursors = vec![Cursor::new(Vec::<u8>::new()), Cursor::new(Vec::<u8>::new())];
-        assert!(receive_message_multi(&mut cursors, &mut out, &cfg)
+        assert!(recv(std::slice::from_mut(&mut c), &mut out, &cfg)
             .unwrap()
             .is_none());
+        // Same through the striped entry point.
+        let mut cursors = vec![Cursor::new(Vec::<u8>::new()), Cursor::new(Vec::<u8>::new())];
+        assert!(recv(&mut cursors, &mut out, &cfg).unwrap().is_none());
+    }
+
+    #[test]
+    fn only_v2_framed_messages_are_resumable() {
+        // Cut both captures mid-message: the one-stream (v1) receive has
+        // no sequence numbers to resume from and must not report a
+        // partial; the two-stream (v2) receive must.
+        let tx = AdocConfig::default().with_levels(1, 10);
+        let data = compressible(2 << 20);
+        for streams in [1usize, 2] {
+            let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
+            let mut src = &data[..];
+            send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
+            let mut cursors: Vec<Cursor<Vec<u8>>> = sinks
+                .into_iter()
+                .map(|mut s| {
+                    s.truncate(s.len() * 2 / 3);
+                    Cursor::new(s)
+                })
+                .collect();
+            let mut out = Vec::new();
+            let mut progress = RecvProgress::default();
+            let cfg = AdocConfig::default();
+            assert!(receive_message(&mut cursors, &mut out, None, &cfg, &mut progress).is_err());
+            assert_eq!(progress.active, streams > 1, "streams = {streams}");
+            assert_eq!(progress.total_raw, data.len() as u64);
+            assert_eq!(progress.delivered_raw, out.len() as u64);
+        }
     }
 
     #[test]
@@ -1079,12 +985,24 @@ mod tests {
         let data = compressible(1 << 20);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         for frac in [wire.len() / 4, wire.len() / 2, wire.len() - 3] {
             let mut c = Cursor::new(wire[..frac].to_vec());
             let mut out = Vec::new();
             assert!(
-                receive_message(&mut c, &mut out, &AdocConfig::default()).is_err(),
+                recv(
+                    std::slice::from_mut(&mut c),
+                    &mut out,
+                    &AdocConfig::default()
+                )
+                .is_err(),
                 "cut at {frac} did not error"
             );
         }
@@ -1099,9 +1017,9 @@ mod tests {
         let hdr = wire::encode_msg_header(MsgKind::Direct, 10_000);
         let mut c = Cursor::new(hdr.to_vec());
         let mut out = Vec::new();
-        assert!(receive_message(&mut c, &mut out, &cfg).is_err());
+        assert!(recv(std::slice::from_mut(&mut c), &mut out, &cfg).is_err());
         let mut cursors = vec![Cursor::new(hdr.to_vec()), Cursor::new(Vec::new())];
-        assert!(receive_message_multi(&mut cursors, &mut out, &cfg).is_err());
+        assert!(recv(&mut cursors, &mut out, &cfg).is_err());
     }
 
     #[test]
@@ -1110,13 +1028,24 @@ mod tests {
         let data = compressible(700_000);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         // Flip a byte inside the first frame payload (after headers).
         let idx = wire::MSG_HEADER_LEN + 4 + wire::FRAME_HEADER_LEN + 100;
         wire[idx] ^= 0xFF;
         let mut c = Cursor::new(wire);
         let mut out = Vec::new();
-        let res = receive_message(&mut c, &mut out, &AdocConfig::default());
+        let res = recv(
+            std::slice::from_mut(&mut c),
+            &mut out,
+            &AdocConfig::default(),
+        );
         assert!(
             res.is_err(),
             "corruption must be detected by decode or length checks"
@@ -1142,20 +1071,31 @@ mod tests {
         let data = compressible(2 << 20);
         let mut wire = Vec::new();
         let mut src = &data[..];
-        send_message(&mut wire, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            &tx,
+        )
+        .unwrap();
         let mut c = Cursor::new(wire);
         let mut sink = TinySink(100_000);
-        let err = receive_message(&mut c, &mut sink, &AdocConfig::default()).unwrap_err();
+        let err = recv(
+            std::slice::from_mut(&mut c),
+            &mut sink,
+            &AdocConfig::default(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
 
         // Same failure through the striped path.
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &tx).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &tx).unwrap();
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut sink = TinySink(100_000);
-        let err =
-            receive_message_multi(&mut cursors, &mut sink, &AdocConfig::default()).unwrap_err();
+        let err = recv(&mut cursors, &mut sink, &AdocConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

@@ -3,18 +3,20 @@
 //! the §5 heuristics — direct path, 256 KB probe, fast-network bypass,
 //! divergence and ratio guards.
 //!
-//! [`send_message`] drives the paper's single-stream pipeline (v1 wire
-//! format). [`send_message_multi`] stripes one logical message over `N`
-//! parallel streams: a dispatcher reads 200 KB buffers in order and
-//! round-robins frame `s` onto stream `s % N`, where each stream runs its
+//! [`send_message`] is the one pipeline, for any stream count `N`, fresh
+//! or resumed: a dispatcher on the calling thread reads 200 KB buffers in
+//! order and hands frame `s` to stream `s % N`, where each stream runs its
 //! **own** compression thread, emission queue, [`LevelController`] and
 //! [`BandwidthMonitor`] — so both the compression CPU and the congestion
-//! windows scale with the stream count. Frames carry v2 headers (stream
-//! id + global sequence number) and every stream ends the message with a
-//! FIN marker; the receiver reassembles by sequence number. All pipelines
-//! draw their buffers from the one shared [`BufferPool`] in the config.
+//! windows scale with the stream count. The framing is derived from the
+//! inputs, never configured (`Framing`): a fresh message over one stream
+//! is the paper's v1 format; several streams or a resumed message use v2
+//! headers (stream id + global sequence number) and end every stream
+//! with a FIN marker, from which the receiver reassembles by sequence
+//! number. All pipelines draw their buffers from the one shared
+//! [`BufferPool`](crate::pool::BufferPool) in the config.
 
-use crate::adapt::LevelController;
+use crate::adapt::{LevelController, LevelReason};
 use crate::bw::BandwidthMonitor;
 use crate::config::AdocConfig;
 use crate::error::AdocError;
@@ -27,10 +29,84 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Raw frames buffered between the striped dispatcher and each stream's
+/// Raw frames buffered between the dispatcher and each stream's
 /// compression thread. Small: the dispatcher reads ahead just enough to
 /// keep every compression thread busy.
 const RAW_QUEUE_FRAMES: usize = 2;
+
+/// Where to continue an interrupted transfer, as reported by the server
+/// in its resume accept: the sender skips the first `delivered_raw`
+/// bytes of the in-flight message and numbers its frames from
+/// `next_seq`. `(0, 0)` means no partial message survived — the client
+/// re-sends from the message boundary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Next global frame sequence number the receiver expects.
+    pub next_seq: u64,
+    /// Raw bytes of the interrupted message already delivered.
+    pub delivered_raw: u64,
+}
+
+impl ResumePoint {
+    /// True when a partially-delivered message is waiting to be
+    /// continued (rather than restarted from its boundary).
+    pub fn mid_message(&self) -> bool {
+        self.next_seq != 0 || self.delivered_raw != 0
+    }
+}
+
+/// How data frames are laid out on the wire. Derived from the inputs of a
+/// transfer, never configured: see [`Framing::of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framing {
+    /// The paper's format: level + lengths, no stream id, no sequence
+    /// number, no FIN — the message's raw length ends it.
+    V1,
+    /// Stream id + global sequence number per frame (plus an optional
+    /// departure stamp), and a FIN per stream.
+    V2,
+}
+
+impl Framing {
+    /// v1 for a fresh message over one stream; v2 whenever there are
+    /// several streams or the message continues a resumed one (the
+    /// receiver's reorder window needs the original sequence numbers).
+    pub(crate) fn of(streams: usize, resumed: bool) -> Framing {
+        if streams == 1 && !resumed {
+            Framing::V1
+        } else {
+            Framing::V2
+        }
+    }
+
+    /// Header bytes reserved in front of every compressed data frame: the
+    /// wide (timestamped) v2 header when this connection feeds the
+    /// delay-signal layer. The dispatcher and each compression thread
+    /// must agree, so both derive it from here.
+    fn header_len(self, cfg: &AdocConfig) -> usize {
+        match self {
+            Framing::V1 => wire::FRAME_HEADER_LEN,
+            Framing::V2 if cfg.signal_hub().is_some() => wire::FRAME_HEADER_V2_TS_LEN,
+            Framing::V2 => wire::FRAME_HEADER_V2_LEN,
+        }
+    }
+
+    /// Writes `fh` into the reserved prefix `dst` in this framing (v1
+    /// keeps only the level and lengths).
+    fn put_header(self, dst: &mut [u8], fh: &FrameHeaderV2) {
+        match self {
+            Framing::V1 => dst.copy_from_slice(
+                &FrameHeader {
+                    level: fh.level,
+                    raw_len: fh.raw_len,
+                    payload_len: fh.payload_len,
+                }
+                .encode(),
+            ),
+            Framing::V2 => dst.copy_from_slice(&fh.encode()),
+        }
+    }
+}
 
 /// What one message send did (merged into [`TransferStats`]).
 #[derive(Debug, Clone, Default)]
@@ -46,7 +122,7 @@ pub struct SendOutcome {
     /// Buffers encoded per level during this message.
     pub buffers_at_level: [u64; 11],
     /// `(when, level, reason)` per compression buffer, in order.
-    pub level_events: Vec<(Instant, u8, crate::adapt::LevelReason)>,
+    pub level_events: Vec<(Instant, u8, LevelReason)>,
     /// Divergence-guard reverts during this message.
     pub divergence_reverts: u64,
     /// Ratio-guard trips during this message.
@@ -56,8 +132,8 @@ pub struct SendOutcome {
     /// no fast path) this equals the message's raw length exactly — the
     /// invariant the divergence guard depends on.
     pub bw_raw_bytes: u64,
-    /// Per-stream accounting for striped sends; empty for single-stream
-    /// messages (stream 0 then carries everything).
+    /// Per-stream accounting for v2-framed sends; empty for v1 messages
+    /// (stream 0 then carries everything).
     pub per_stream: Vec<StreamSendStats>,
     /// Visible bandwidth per level at the end of this message, in raw
     /// bits/s (0.0 = level unobserved; striped sends report the sum over
@@ -95,35 +171,21 @@ impl SendOutcome {
     }
 }
 
-/// Sends one message of exactly `raw_len` bytes drawn from `source`.
+/// Sends one message of exactly `raw_len` bytes over a group of streams
+/// (`writers[0]` is the primary; see the module docs). Blocking: returns
+/// once every byte has been handed to the writers.
 ///
-/// Blocking: returns once every byte has been handed to `writer`.
+/// With `resume`, this continues a message whose first
+/// `resume.delivered_raw` bytes the receiver already holds: `source`
+/// yields only the remaining bytes, no message header and no probe go on
+/// the wire (both sides agreed on the resume point during the session
+/// handshake), and frames are numbered from `resume.next_seq` so the
+/// receiver's reorder window slots them behind the bytes it kept.
 pub fn send_message<W, S>(
-    writer: &mut W,
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let direct = cfg.compression_disabled()
-        || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-    if direct {
-        return send_direct(writer, source, raw_len, cfg);
-    }
-    send_adaptive(writer, source, raw_len, cfg)
-}
-
-/// Sends one message striped over a group of parallel streams
-/// (`writers[0]` is the primary stream; see the module docs). With one
-/// writer this is exactly [`send_message`] — byte-identical v1 wire
-/// format.
-pub fn send_message_multi<W, S>(
     writers: &mut [W],
     source: &mut S,
     raw_len: u64,
+    resume: Option<ResumePoint>,
     cfg: &AdocConfig,
 ) -> io::Result<SendOutcome>
 where
@@ -135,17 +197,50 @@ where
         "a stream group needs at least 1 stream"
     );
     assert!(writers.len() <= 255, "stream ids are u8");
-    if writers.len() == 1 {
-        return send_message(&mut writers[0], source, raw_len, cfg);
-    }
-    // Small and disabled-compression messages take the direct path on the
-    // primary stream alone: striping tiny messages buys nothing.
-    let direct = cfg.compression_disabled()
-        || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64);
-    if direct {
-        return send_direct(&mut writers[0], source, raw_len, cfg);
-    }
-    send_adaptive_striped(writers, source, raw_len, cfg)
+    let framing = Framing::of(writers.len(), resume.is_some());
+    let mut out = SendOutcome::default();
+    let (remaining, start_seq) = match resume {
+        Some(at) => {
+            let remaining = raw_len.checked_sub(at.delivered_raw).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "resume point {} beyond message length {raw_len}",
+                        at.delivered_raw
+                    ),
+                )
+            })?;
+            (remaining, at.next_seq)
+        }
+        None => {
+            // Small and disabled-compression messages take the direct
+            // path on the primary stream alone: striping tiny messages
+            // buys nothing.
+            if cfg.compression_disabled()
+                || (!cfg.compression_forced() && raw_len < cfg.probe_threshold as u64)
+            {
+                return send_direct(&mut writers[0], source, raw_len, cfg);
+            }
+            writers[0].write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
+            out.wire_bytes += wire::MSG_HEADER_LEN as u64;
+            let probe_len = write_probe(&mut writers[0], source, raw_len, cfg, &mut out)?;
+            let remaining = raw_len - probe_len;
+            if remaining == 0 {
+                // Probe-only (or empty) message: no frames, no FINs.
+                writers[0].flush()?;
+                return Ok(out);
+            }
+            if out.fast_path {
+                send_raw_frames(writers, source, remaining, framing, cfg, &mut out)?;
+                return Ok(out);
+            }
+            (remaining, 0)
+        }
+    };
+    run_pipelines(
+        writers, source, remaining, start_seq, framing, cfg, &mut out,
+    )?;
+    Ok(out)
 }
 
 /// §5 "Small messages": header + raw bytes, no threads, latency identical
@@ -175,97 +270,6 @@ fn next_frame_size(buffer_size: usize, remaining: u64) -> io::Result<usize> {
         return Err(AdocError::FrameTooLarge { len: want }.into());
     }
     Ok(want as usize)
-}
-
-fn send_adaptive<W, S>(
-    writer: &mut W,
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let mut out = SendOutcome::default();
-    writer.write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
-    out.wire_bytes += wire::MSG_HEADER_LEN as u64;
-
-    // Probe (§5 "Fast Networks") — skipped when compression is forced.
-    let probe_len = write_probe(writer, source, raw_len, cfg, &mut out)?;
-    if out.fast_path {
-        // Too fast to compress: ship the rest as raw v1 frames. Each
-        // frame is assembled (header in place, payload read straight in
-        // behind it) in a pooled buffer and put on the wire with a single
-        // write; the buffer returns to the pool at the end of the
-        // iteration, so a multi-buffer send touches the allocator at most
-        // once.
-        let mut remaining = raw_len - probe_len;
-        let mut frame = cfg
-            .pool
-            .get(wire::FRAME_HEADER_LEN + cfg.buffer_size.min(wire::MAX_FRAME_LEN as usize));
-        while remaining > 0 {
-            let want = next_frame_size(cfg.buffer_size, remaining)?;
-            // Same-size resize is a no-op, so the zero-fill happens
-            // once per message, not once per frame.
-            frame.resize(wire::FRAME_HEADER_LEN + want, 0);
-            source.read_exact(&mut frame[wire::FRAME_HEADER_LEN..])?;
-            let fh = FrameHeader {
-                level: 0,
-                raw_len: want as u32,
-                payload_len: want as u32,
-            };
-            frame[..wire::FRAME_HEADER_LEN].copy_from_slice(&fh.encode());
-            cfg.throttle.acquire_wire(frame.len());
-            writer.write_all(&frame)?;
-            out.wire_bytes += frame.len() as u64;
-            out.buffers_at_level[0] += 1;
-            out.level_events
-                .push((Instant::now(), 0, crate::adapt::LevelReason::default()));
-            remaining -= want as u64;
-        }
-        writer.flush()?;
-        return Ok(out);
-    }
-
-    // Full adaptive machinery: compression thread + emission thread
-    // around the FIFO queue (Fig. 1).
-    let queue = PacketQueue::new(cfg.queue_cap);
-    let bw = BandwidthMonitor::new();
-    let remaining = raw_len - probe_len;
-
-    let (comp_res, emit_res) = std::thread::scope(|s| {
-        let comp = s.spawn(|| compression_thread(source, remaining, &queue, &bw, cfg));
-        let emit =
-            s.spawn(|| emission_thread(writer, &queue, &bw, &*cfg.throttle, cfg.signal_hub()));
-        (comp.join(), emit.join())
-    });
-    // A panicking thread has already released its peer through the queue
-    // guards; surface the panic as an error instead of aborting the
-    // caller.
-    let emit = emit_res.map_err(|_| io::Error::other("emission thread panicked"))?;
-    let comp = comp_res.map_err(|_| io::Error::other("compression thread panicked"))?;
-
-    // An emission failure poisons the queue, which surfaces in the
-    // compression thread as Closed; prefer the emission (I/O) error.
-    let wire = emit?;
-    let comp = comp?;
-    out.wire_bytes += wire;
-    out.bw_raw_bytes = bw.total_raw_bytes();
-    for level in 0..=10u8 {
-        if let Some(bps) = bw.visible(level) {
-            out.level_bps[level as usize] = bps;
-        }
-    }
-    out.buffers_at_level
-        .iter_mut()
-        .zip(comp.buffers_at_level)
-        .for_each(|(d, s)| *d += s);
-    out.level_events.extend(comp.level_events);
-    out.divergence_reverts = comp.divergence_reverts;
-    out.ratio_trips = comp.ratio_trips;
-    writer.flush()?;
-    Ok(out)
 }
 
 /// Writes the probe prefix (primary stream), measuring link speed and
@@ -298,147 +302,92 @@ fn write_probe<W: Write, S: Read>(
     Ok(probe_len)
 }
 
-/// One raw compression buffer travelling from the striped dispatcher to a
+/// The fast path: the link outran the probe, so compression is not the
+/// bottleneck and striping buys nothing. The rest of the message goes out
+/// as raw frames on the primary stream, each assembled (header in place,
+/// payload read straight in behind it) in one pooled buffer and put on
+/// the wire with a single write; the buffer is reused for every frame, so
+/// a multi-buffer send touches the allocator at most once. v2 ends every
+/// stream with a FIN so the receiver's per-stream readers unblock.
+fn send_raw_frames<W: Write, S: Read>(
+    writers: &mut [W],
+    source: &mut S,
+    remaining: u64,
+    framing: Framing,
+    cfg: &AdocConfig,
+    out: &mut SendOutcome,
+) -> io::Result<()> {
+    // Fast-path frames skip the timestamp: the link already outran
+    // compression, so there is no adaptation to feed.
+    let hdr = match framing {
+        Framing::V1 => wire::FRAME_HEADER_LEN,
+        Framing::V2 => wire::FRAME_HEADER_V2_LEN,
+    };
+    let mut frame = cfg
+        .pool
+        .get(hdr + cfg.buffer_size.min(wire::MAX_FRAME_LEN as usize));
+    let mut left = remaining;
+    let mut seq = 0u64;
+    while left > 0 {
+        let want = next_frame_size(cfg.buffer_size, left)?;
+        // Same-size resize is a no-op, so the zero-fill happens once per
+        // message, not once per frame.
+        frame.resize(hdr + want, 0);
+        source.read_exact(&mut frame[hdr..])?;
+        let fh = FrameHeaderV2::data(0, 0, seq, want as u32, want as u32);
+        framing.put_header(&mut frame[..hdr], &fh);
+        cfg.throttle.acquire_wire(frame.len());
+        writers[0].write_all(&frame)?;
+        out.wire_bytes += frame.len() as u64;
+        out.buffers_at_level[0] += 1;
+        out.level_events
+            .push((Instant::now(), 0, LevelReason::default()));
+        seq += 1;
+        left -= want as u64;
+    }
+    if framing == Framing::V2 {
+        for (i, w) in writers.iter_mut().enumerate() {
+            let (frames, raw_bytes) = if i == 0 { (seq, remaining) } else { (0, 0) };
+            w.write_all(&FrameHeaderV2::fin(i as u8, frames).encode())?;
+            let wire_bytes = raw_bytes + (frames + 1) * wire::FRAME_HEADER_V2_LEN as u64;
+            out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
+            out.per_stream.push(StreamSendStats {
+                stream: i as u8,
+                wire_bytes,
+                raw_bytes,
+                frames,
+            });
+        }
+    }
+    for w in writers.iter_mut() {
+        w.flush()?;
+    }
+    Ok(())
+}
+
+/// One raw compression buffer travelling from the dispatcher to a
 /// stream's compression thread.
 struct RawFrame {
     /// Global in-message frame sequence number.
     seq: u64,
     /// Raw payload bytes in `buf` (after the reserved header prefix).
     want: usize,
-    /// Pooled buffer: [`v2_header_len`] reserved bytes, then payload.
+    /// Pooled buffer: [`Framing::header_len`] reserved bytes, then
+    /// payload.
     buf: PooledBuf,
 }
 
-/// Header bytes reserved in front of every striped data frame: the wide
-/// (timestamped) v2 header when this connection feeds the delay-signal
-/// layer, the classic 18-byte one otherwise. The dispatcher and each
-/// stream's compression thread must agree, so both derive it from the
-/// same config gate.
-fn v2_header_len(cfg: &AdocConfig) -> usize {
-    if cfg.signal_hub().is_some() {
-        wire::FRAME_HEADER_V2_TS_LEN
-    } else {
-        wire::FRAME_HEADER_V2_LEN
-    }
-}
-
-fn send_adaptive_striped<W, S>(
-    writers: &mut [W],
-    source: &mut S,
-    raw_len: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    let mut out = SendOutcome::default();
-    writers[0].write_all(&wire::encode_msg_header(MsgKind::Adaptive, raw_len))?;
-    out.wire_bytes += wire::MSG_HEADER_LEN as u64;
-    let probe_len = write_probe(&mut writers[0], source, raw_len, cfg, &mut out)?;
-    let remaining = raw_len - probe_len;
-    if remaining == 0 {
-        writers[0].flush()?;
-        return Ok(out);
-    }
-
-    if out.fast_path {
-        // Raw v2 frames on the primary stream (compression is not the
-        // bottleneck, so striping buys nothing), FIN on every stream so
-        // the receiver's per-stream readers unblock.
-        let mut left = remaining;
-        let mut seq = 0u64;
-        let mut frame = cfg
-            .pool
-            .get(wire::FRAME_HEADER_V2_LEN + cfg.buffer_size.min(wire::MAX_FRAME_LEN as usize));
-        while left > 0 {
-            let want = next_frame_size(cfg.buffer_size, left)?;
-            frame.resize(wire::FRAME_HEADER_V2_LEN + want, 0);
-            source.read_exact(&mut frame[wire::FRAME_HEADER_V2_LEN..])?;
-            // Fast-path frames skip the timestamp: the link already
-            // outran compression, so there is no adaptation to feed.
-            let fh = FrameHeaderV2::data(0, 0, seq, want as u32, want as u32);
-            frame[..wire::FRAME_HEADER_V2_LEN].copy_from_slice(&fh.encode());
-            cfg.throttle.acquire_wire(frame.len());
-            writers[0].write_all(&frame)?;
-            out.wire_bytes += frame.len() as u64;
-            out.buffers_at_level[0] += 1;
-            out.level_events
-                .push((Instant::now(), 0, crate::adapt::LevelReason::default()));
-            seq += 1;
-            left -= want as u64;
-        }
-        let frames_on_primary = seq;
-        let primary_frame_bytes = remaining + frames_on_primary * wire::FRAME_HEADER_V2_LEN as u64;
-        for (i, w) in writers.iter_mut().enumerate() {
-            let frames = if i == 0 { frames_on_primary } else { 0 };
-            w.write_all(&FrameHeaderV2::fin(i as u8, frames).encode())?;
-            w.flush()?;
-            out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
-            out.per_stream.push(StreamSendStats {
-                stream: i as u8,
-                wire_bytes: wire::FRAME_HEADER_V2_LEN as u64
-                    + if i == 0 { primary_frame_bytes } else { 0 },
-                raw_bytes: if i == 0 { remaining } else { 0 },
-                frames,
-            });
-        }
-        return Ok(out);
-    }
-
-    striped_pipelines(writers, source, remaining, 0, cfg, &mut out)?;
-    Ok(out)
-}
-
-/// Resumes a striped message on a fresh stream group: ships the
-/// not-yet-delivered tail of a message whose first `start_seq` frames
-/// (and probe) the receiver already has. No message header and no probe
-/// go on the wire — both sides agreed on the resume point during the
-/// session handshake — and frames are numbered from `start_seq` so the
-/// receiver's reorder window slots them behind the bytes it kept.
-/// Always uses v2 framing, even over a single stream: the original
-/// message was striped, so the continuation must be too.
-pub fn send_message_multi_resumed<W, S>(
+/// The adaptive heart of a send: per-stream pipelines around the shared
+/// pool — dispatcher (this thread) → raw queue → compression thread →
+/// packet queue → emission thread → writer i. Frames are numbered
+/// globally from `start_seq` (0 for a fresh message, the negotiated
+/// resume point for a continued one).
+fn run_pipelines<W, S>(
     writers: &mut [W],
     source: &mut S,
     remaining: u64,
     start_seq: u64,
-    cfg: &AdocConfig,
-) -> io::Result<SendOutcome>
-where
-    W: Write + Send,
-    S: Read + Send,
-{
-    assert!(
-        !writers.is_empty(),
-        "a stream group needs at least 1 stream"
-    );
-    assert!(writers.len() <= 255, "stream ids are u8");
-    let mut out = SendOutcome::default();
-    if remaining == 0 {
-        // Nothing left to ship, but every stream still owes its FIN so
-        // the receiver's per-stream readers observe end-of-message.
-        for (i, w) in writers.iter_mut().enumerate() {
-            w.write_all(&FrameHeaderV2::fin(i as u8, 0).encode())?;
-            w.flush()?;
-            out.wire_bytes += wire::FRAME_HEADER_V2_LEN as u64;
-        }
-        return Ok(out);
-    }
-    striped_pipelines(writers, source, remaining, start_seq, cfg, &mut out)?;
-    Ok(out)
-}
-
-/// The shared heart of a striped adaptive send: per-stream pipelines
-/// around the shared pool — dispatcher (this thread) → raw queue →
-/// compression thread → packet queue → emission thread → writer i.
-/// Frames are numbered globally from `start_seq` (0 for a fresh message,
-/// the negotiated resume point for a continued one).
-fn striped_pipelines<W, S>(
-    writers: &mut [W],
-    source: &mut S,
-    remaining: u64,
-    start_seq: u64,
+    framing: Framing,
     cfg: &AdocConfig,
     out: &mut SendOutcome,
 ) -> io::Result<()>
@@ -458,7 +407,8 @@ where
         let mut emit_handles = Vec::with_capacity(n);
         for (i, w) in writers.iter_mut().enumerate() {
             let (rq, pq, bw) = (&raw_queues[i], &pkt_queues[i], &monitors[i]);
-            comp_handles.push(s.spawn(move || stream_compression_thread(i as u8, rq, pq, bw, cfg)));
+            comp_handles
+                .push(s.spawn(move || compression_thread(i as u8, framing, rq, pq, bw, cfg)));
             emit_handles.push(
                 s.spawn(move || emission_thread(w, pq, bw, &*cfg.throttle, cfg.signal_hub())),
             );
@@ -473,9 +423,14 @@ where
         let disp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> io::Result<()> {
             let mut left = remaining;
             let mut seq = start_seq;
-            let hdr = v2_header_len(cfg);
+            let hdr = framing.header_len(cfg);
             while left > 0 {
                 let want = next_frame_size(cfg.buffer_size, left)?;
+                // The raw bytes are read straight into frame position —
+                // header space first, payload appended behind it via
+                // `Take`, which fills the reserved spare capacity without
+                // a zeroing pass — so a level-0 buffer is already a
+                // complete frame with no copy.
                 let mut buf = cfg.pool.get(hdr + want);
                 buf.resize(hdr, 0);
                 match source.by_ref().take(want as u64).read_to_end(&mut buf) {
@@ -517,8 +472,9 @@ where
         )
     });
 
-    // Error priority mirrors the single-stream path: emission (socket)
-    // errors first, then compression, then the dispatcher's read error.
+    // Error priority: emission (socket) errors first — they poison the
+    // queues, which the compression threads see as Closed — then
+    // compression, then the dispatcher's read error.
     let mut stream_wire = vec![0u64; n];
     let mut first_err: Option<io::Error> = None;
     for (i, res) in emit_res.into_iter().enumerate() {
@@ -557,12 +513,14 @@ where
         out.level_events.extend(comp.level_events);
         out.divergence_reverts += comp.divergence_reverts;
         out.ratio_trips += comp.ratio_trips;
-        out.per_stream.push(StreamSendStats {
-            stream: i as u8,
-            wire_bytes: stream_wire[i],
-            raw_bytes: monitors[i].total_raw_bytes(),
-            frames: comp.frames,
-        });
+        if framing == Framing::V2 {
+            out.per_stream.push(StreamSendStats {
+                stream: i as u8,
+                wire_bytes: stream_wire[i],
+                raw_bytes: monitors[i].total_raw_bytes(),
+                frames: comp.frames,
+            });
+        }
     }
     // Interleaved pipelines report out of order; the connection timeline
     // must stay chronological.
@@ -573,7 +531,7 @@ where
 /// Per-message results a compression thread reports back.
 struct CompOutcome {
     buffers_at_level: [u64; 11],
-    level_events: Vec<(Instant, u8, crate::adapt::LevelReason)>,
+    level_events: Vec<(Instant, u8, LevelReason)>,
     divergence_reverts: u64,
     ratio_trips: u64,
     /// Data frames fully handed to the emission queue.
@@ -598,10 +556,10 @@ impl CompOutcome {
     }
 }
 
-/// The §5 ratio-guard stage shared by both pipelines: picks the level for
-/// a raw buffer (suspicious pre-check + full compression + ratio report)
-/// and returns the wire-ready frame body with `header_len` reserved bytes
-/// at the front, plus the level it ended up encoded at.
+/// The §5 ratio-guard stage: picks the level for a raw buffer (suspicious
+/// pre-check + full compression + ratio report) and returns the
+/// wire-ready frame body with `header_len` reserved bytes at the front,
+/// plus the level it ended up encoded at.
 fn encode_frame_payload(
     raw: PooledBuf,
     want: usize,
@@ -686,81 +644,14 @@ fn push_frame_packets(
     Ok(pushed)
 }
 
-fn compression_thread<S: Read>(
-    source: &mut S,
-    mut remaining: u64,
-    queue: &PacketQueue,
-    bw: &BandwidthMonitor,
-    cfg: &AdocConfig,
-) -> io::Result<CompOutcome> {
-    // Every exit — success, error, panic — ends the stream for the
-    // emission thread; without this a dying producer strands the consumer
-    // in `pop` forever.
-    let _close = queue.close_on_drop();
-    let mut ctrl = LevelController::new(cfg);
-    let mut codec = adoc_codec::Codec::new();
-    let mut out = CompOutcome::new();
-
-    while remaining > 0 {
-        let want = next_frame_size(cfg.buffer_size, remaining)?;
-        // The raw bytes are read straight into frame position — header
-        // space first, payload appended behind it via `Take`, which
-        // fills the reserved spare capacity without a zeroing pass — so
-        // a level-0 buffer is already a complete frame with no copy.
-        let mut raw = cfg.pool.get(wire::FRAME_HEADER_LEN + want);
-        raw.resize(wire::FRAME_HEADER_LEN, 0);
-        match source.by_ref().take(want as u64).read_to_end(&mut raw) {
-            Ok(n) if n == want => {}
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "source ended before the promised message length",
-                ));
-            }
-            Err(e) => return Err(e),
-        }
-
-        // §3.2: the level is updated before each new buffer — with the
-        // freshest delay verdict alongside the queue length, when this
-        // connection runs the signal layer.
-        let delay = cfg.signal_hub().and_then(|h| h.snapshot());
-        let level = ctrl.next_level_with(queue.len(), bw, delay, cfg);
-        let (mut frame, level) = encode_frame_payload(
-            raw,
-            want,
-            wire::FRAME_HEADER_LEN,
-            level,
-            &mut ctrl,
-            &mut codec,
-            cfg,
-        )?;
-        out.buffers_at_level[level as usize] += 1;
-        out.level_events
-            .push((Instant::now(), level, ctrl.last_reason()));
-
-        let fh = FrameHeader {
-            level,
-            raw_len: want as u32,
-            payload_len: (frame.len() - wire::FRAME_HEADER_LEN) as u32,
-        };
-        frame[..wire::FRAME_HEADER_LEN].copy_from_slice(&fh.encode());
-
-        match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
-            Ok(pushed) => ctrl.packets_pushed(pushed),
-            // Consumer failed; its error is authoritative.
-            Err(()) => return Ok(out.finish(&ctrl)),
-        }
-        out.frames += 1;
-        remaining -= want as u64;
-    }
-    Ok(out.finish(&ctrl))
-}
-
-/// One stream's compression thread in a striped send: same adaptation
-/// loop as [`compression_thread`], but fed pre-read buffers by the
-/// dispatcher and emitting v2 frame headers.
-fn stream_compression_thread(
+/// One stream's compression thread: the paper's adaptation loop, fed
+/// pre-read buffers by the dispatcher. §3.2: the level is updated before
+/// each new buffer — with the freshest delay verdict alongside the queue
+/// length, when this connection runs the signal layer. v2 streams end
+/// with a FIN recording how many data frames the receiver must have seen.
+fn compression_thread(
     stream_id: u8,
+    framing: Framing,
     raw_queue: &BoundedQueue<RawFrame>,
     queue: &PacketQueue,
     bw: &BandwidthMonitor,
@@ -775,7 +666,7 @@ fn stream_compression_thread(
     let mut codec = adoc_codec::Codec::new();
     let mut out = CompOutcome::new();
     let hub = cfg.signal_hub();
-    let hdr = v2_header_len(cfg);
+    let hdr = framing.header_len(cfg);
 
     while let Some(RawFrame { seq, want, buf }) = raw_queue.pop() {
         let delay = hub.and_then(|h| h.snapshot());
@@ -793,26 +684,27 @@ fn stream_compression_thread(
             want as u32,
             (frame.len() - hdr) as u32,
         );
-        // Departure stamp for the receiver's remote estimator: taken at
-        // enqueue, so emission-queue wait shows up as delay — exactly the
-        // backlog the gradient is meant to see.
+        // Departure stamp for the receiver's remote estimator (v2 only):
+        // taken at enqueue, so emission-queue wait shows up as delay —
+        // exactly the backlog the gradient is meant to see.
         fh.ts_us = hub.map(|h| h.now_us());
-        frame[..hdr].copy_from_slice(&fh.encode());
+        framing.put_header(&mut frame[..hdr], &fh);
 
         match push_frame_packets(queue, frame, want, level, cfg.packet_size) {
             Ok(pushed) => ctrl.packets_pushed(pushed),
+            // Consumer failed; its error is authoritative.
             Err(()) => return Ok(out.finish(&ctrl)),
         }
         out.frames += 1;
     }
 
-    // End of message on this stream: the FIN marker records how many data
-    // frames the receiver must have seen.
-    let fin = FrameHeaderV2::fin(stream_id, out.frames);
-    let mut fbuf = cfg.pool.get(wire::FRAME_HEADER_V2_LEN);
-    fbuf.extend_from_slice(&fin.encode());
-    let len = fbuf.len();
-    let _ = queue.push(Packet::view(Arc::new(fbuf), 0, len, 0, 0));
+    if framing == Framing::V2 {
+        let fin = FrameHeaderV2::fin(stream_id, out.frames);
+        let mut fbuf = cfg.pool.get(wire::FRAME_HEADER_V2_LEN);
+        fbuf.extend_from_slice(&fin.encode());
+        let len = fbuf.len();
+        let _ = queue.push(Packet::view(Arc::new(fbuf), 0, len, 0, 0));
+    }
     Ok(out.finish(&ctrl))
 }
 
@@ -895,7 +787,14 @@ mod tests {
     fn send_to_vec(data: &[u8], cfg: &AdocConfig) -> (Vec<u8>, SendOutcome) {
         let mut wire = Vec::new();
         let mut src = data;
-        let out = send_message(&mut wire, &mut src, data.len() as u64, cfg).unwrap();
+        let out = send_message(
+            std::slice::from_mut(&mut wire),
+            &mut src,
+            data.len() as u64,
+            None,
+            cfg,
+        )
+        .unwrap();
         (wire, out)
     }
 
@@ -971,7 +870,8 @@ mod tests {
         let cfg = AdocConfig::default();
         let mut wire = Vec::new();
         let mut src: &[u8] = b"only ten b";
-        let err = send_message(&mut wire, &mut src, 100, &cfg).unwrap_err();
+        let err =
+            send_message(std::slice::from_mut(&mut wire), &mut src, 100, None, &cfg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -992,7 +892,14 @@ mod tests {
         cfg.packet_size = 8 << 10;
         let raw_len = 5u64 << 30;
         let mut wire = Vec::new();
-        let err = send_message(&mut wire, &mut EndlessZeros, raw_len, &cfg).unwrap_err();
+        let err = send_message(
+            std::slice::from_mut(&mut wire),
+            &mut EndlessZeros,
+            raw_len,
+            None,
+            &cfg,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         match AdocError::from_io(&err) {
             Some(AdocError::FrameTooLarge { len }) => assert_eq!(*len, raw_len),
@@ -1035,7 +942,14 @@ mod tests {
         };
         let mut sink = FailAfter { n: 300_000 };
         let mut src = &data[..];
-        let err = send_message(&mut sink, &mut src, data.len() as u64, &cfg).unwrap_err();
+        let err = send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
     }
 
@@ -1060,7 +974,13 @@ mod tests {
         std::thread::spawn(move || {
             let mut wire = Vec::new();
             let mut src = &data[..];
-            let res = send_message(&mut wire, &mut src, data.len() as u64, &cfg);
+            let res = send_message(
+                std::slice::from_mut(&mut wire),
+                &mut src,
+                data.len() as u64,
+                None,
+                &cfg,
+            );
             let _ = done_tx.send(res.is_err());
         });
         match done_rx.recv_timeout(std::time::Duration::from_secs(10)) {
@@ -1118,7 +1038,7 @@ mod tests {
         let data = adoc_data_stub(2 << 20); // 11 buffers at 200 KB
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 4];
         let mut src = &data[..];
-        let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         assert_eq!(out.per_stream.len(), 4);
         let frames: u64 = out.per_stream.iter().map(|s| s.frames).sum();
         assert_eq!(frames, data.len().div_ceil(cfg.buffer_size) as u64);
@@ -1144,7 +1064,7 @@ mod tests {
         let data = vec![7u8; 2 << 20];
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); 3];
         let mut src = &data[..];
-        let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         assert!(out.fast_path);
         assert_eq!(out.per_stream.len(), 3);
         let probe = cfg.probe_size as u64;
@@ -1171,24 +1091,31 @@ mod tests {
     }
 
     #[test]
-    fn striped_send_with_one_stream_is_v1_byte_identical() {
+    fn forced_single_level_wire_is_golden_v1() {
         // A pinned level (min == max) makes the adaptive frame stream
-        // deterministic, so the two wire captures must match byte for
-        // byte; the direct path is deterministic by construction.
-        for data in [
-            adoc_data_stub(10_000),  // direct
-            adoc_data_stub(1 << 20), // adaptive
-        ] {
-            for cfg in [
-                AdocConfig::default().with_levels(0, 0),
-                AdocConfig::default().with_levels(4, 4),
-            ] {
-                let (v1, _) = send_to_vec(&data, &cfg);
-                let mut group = vec![Vec::new()];
-                let mut src = &data[..];
-                send_message_multi(&mut group, &mut src, data.len() as u64, &cfg).unwrap();
-                assert_eq!(group[0], v1, "streams == 1 must stay v1");
+        // deterministic: no probe (forced compression), then one v1
+        // frame per `buffer_size` chunk — level, raw_len, payload_len,
+        // and the codec's output for that chunk at that level.
+        let data = b"the quick brown fox jumps over the lazy dog; ".repeat(14_000);
+        assert!(data.len() >= 600_000);
+        for level in [1u8, 4, 10] {
+            let mut sock = crate::AdocSocket::new(io::empty(), Vec::new());
+            sock.write_levels(&data, level, level).unwrap();
+            let (_, wire) = sock.into_inner();
+
+            let cfg = AdocConfig::default();
+            let mut golden = vec![wire::MAGIC, 0x01];
+            golden.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            golden.extend_from_slice(&0u32.to_le_bytes());
+            for chunk in data.chunks(cfg.buffer_size) {
+                let mut enc = Vec::new();
+                adoc_codec::compress_at(level, chunk, &mut enc);
+                golden.push(level);
+                golden.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+                golden.extend_from_slice(&(enc.len() as u32).to_le_bytes());
+                golden.extend_from_slice(&enc);
             }
+            assert_eq!(wire, golden, "v1 adaptive framing drifted at level {level}");
         }
     }
 
@@ -1296,7 +1223,14 @@ mod tests {
         let data = adoc_data_stub(2 << 20);
         let mut sink = PacedSink(Vec::new());
         let mut src = &data[..];
-        let out = send_message(&mut sink, &mut src, data.len() as u64, &cfg).unwrap();
+        let out = send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .unwrap();
         let observed: Vec<u8> = (0..11u8)
             .filter(|&l| out.level_bps[l as usize] > 0.0)
             .collect();
@@ -1337,7 +1271,7 @@ mod tests {
             let data = adoc_data_stub(1_300_000);
             let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
             let mut src = &data[..];
-            let out = send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+            let out = send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
             let on_wire: u64 = sinks.iter().map(|s| s.len() as u64).sum();
             assert_eq!(out.wire_bytes, on_wire, "streams = {streams}");
         }

@@ -34,7 +34,10 @@
 //! each adaptive message with a `FinV2` marker — including streams that
 //! carried no data frames — so per-stream readers know when the message
 //! is over. Fast-path (probe-measured fast network) raw frames use the
-//! same v2 framing on the primary stream.
+//! same v2 framing on the primary stream. A message continued after a
+//! session resume is v2-framed at any width, one stream included: it has
+//! no header and no probe, and its frames are numbered from the resume
+//! point.
 //!
 //! # Negotiation rule
 //!
@@ -252,7 +255,7 @@ pub struct FrameHeaderV2 {
     /// Departure timestamp (µs on the sender's signal clock), carried
     /// when [`FRAME_TS_FLAG`] is set. Feeds the receiver's
     /// delay-gradient estimator; `None` on FIN frames, on v2 peers
-    /// predating the flag, and whenever `delay_signals` is off.
+    /// predating the flag, and on connections without a signal hub.
     pub ts_us: Option<u64>,
 }
 

@@ -144,8 +144,8 @@ struct ClientResult {
 }
 
 /// One client's whole session: `messages` send+verify round trips.
-fn run_client_on(
-    conn: &mut dyn ClientConn,
+fn run_client_on<R: Read + Send, W: Write + Send>(
+    conn: &mut AdocStreamGroup<R, W>,
     plan: &Plan,
     payload: &[u8],
 ) -> Result<ClientResult, String> {
@@ -166,7 +166,7 @@ fn run_client_on(
             }
         }
         let req = Instant::now();
-        conn.send(payload).map_err(|e| format!("send {m}: {e}"))?;
+        conn.write(payload).map_err(|e| format!("send {m}: {e}"))?;
         match plan.mode {
             ServeMode::Echo => {
                 let mut back = vec![0u8; payload.len()];
@@ -200,9 +200,9 @@ fn run_client_on(
 /// daemon's scheduler: one small untimed warmup round trip gets the
 /// connection sniffed, registered, and admitted, then the registry row
 /// whose peer matches the probe's local socket address is re-tiered.
-fn retier_probe(
+fn retier_probe<R: Read + Send, W: Write + Send>(
     server: &Arc<Server>,
-    conn: &mut dyn ClientConn,
+    conn: &mut AdocStreamGroup<R, W>,
     plan: &Plan,
     local_addr: &str,
     tier: Tier,
@@ -236,30 +236,6 @@ fn retier_probe(
             ));
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-}
-
-/// Object-safe client connection (plain socket or stream group).
-trait ClientConn {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()>;
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()>;
-}
-
-impl<R: Read + Send, W: Write + Send> ClientConn for AdocSocket<R, W> {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
-        AdocSocket::write(self, data).map(|_| ())
-    }
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
-        AdocSocket::read_exact(self, out)
-    }
-}
-
-impl<R: Read + Send, W: Write + Send> ClientConn for AdocStreamGroup<R, W> {
-    fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
-        AdocStreamGroup::write(self, data).map(|_| ())
-    }
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
-        AdocStreamGroup::read_exact(self, out)
     }
 }
 

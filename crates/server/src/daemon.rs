@@ -414,6 +414,11 @@ fn handle_plain_group(
     let _ghostbuster = RegistryGuard::new(&server, id);
     let ctl = ConnCtl::new(server.drain_state());
     let poll = server.config().drain_poll;
+    // Publish the admission before the acceptor hellos: a client that
+    // has its answer must also find itself counted. From here on a
+    // failed reply is a failed connection (the guard records it).
+    let cfg = server.conn_config(id, n, &peer_label);
+    server.registry().activate(id, n);
     for (i, mut s) in streams.into_iter().enumerate() {
         let ok = io::Write::write_all(&mut s, &GroupHello::new(n as u8, i as u8).encode()).is_ok()
             && io::Write::flush(&mut s).is_ok()
@@ -425,14 +430,9 @@ fn handle_plain_group(
                 GuardedReader::new(r, Vec::new(), Arc::clone(&ctl), i == 0),
                 GuardedWriter::new(s, Arc::clone(&ctl)),
             )),
-            None => {
-                server.registry().fail_handshake(id);
-                return;
-            }
+            None => return,
         }
     }
-    let cfg = server.conn_config(id, n, &peer_label);
-    server.registry().activate(id, n);
     match AdocStreamGroup::from_negotiated(pairs, cfg) {
         Ok(mut group) => {
             let _ = serve_messages(&server, id, &mut group, &ctl);
@@ -441,8 +441,10 @@ fn handle_plain_group(
     }
 }
 
-/// Writes a [`SessionAccept`] rejection on `stream` and records the
-/// refusal (session counter, handshake failure, typed event).
+/// Records a session refusal (session counter, handshake failure, typed
+/// event), then writes the [`SessionAccept`] rejection on `stream`. The
+/// order matters: a client that has read its rejection must find it
+/// counted.
 fn reject_session(
     server: &Server,
     stream: &mut TcpStream,
@@ -450,13 +452,13 @@ fn reject_session(
     session_id: Option<u64>,
     reason: &'static str,
 ) {
-    let _ = io::Write::write_all(stream, &SessionAccept::reject(status).encode());
-    let _ = io::Write::flush(stream);
     server.sessions().count_rejected();
     server.registry().count_handshake_failure();
     server
         .events()
         .emit(Event::TicketRejected { session_id, reason });
+    let _ = io::Write::write_all(stream, &SessionAccept::reject(status).encode());
+    let _ = io::Write::flush(stream);
 }
 
 /// One stream of a v4 session group: the credential is verified **per
@@ -532,11 +534,11 @@ fn handle_session_stream(
 
 /// Replies the acceptor [`GroupHello`]s in id order (plus the
 /// [`SessionAccept`] on the primary, queued behind its hello) and wraps
-/// every stream in the drain-aware guards. `None` means a socket write
-/// failed; the handshake is already recorded as failed.
+/// every stream in the drain-aware guards. Callers publish the admission
+/// first; `None` means a socket write failed, and the caller's registry
+/// guard records the connection as failed.
 fn answer_session_streams(
     server: &Server,
-    id: ConnId,
     ctl: &Arc<ConnCtl>,
     streams: Vec<TcpStream>,
     accept: &SessionAccept,
@@ -555,16 +557,11 @@ fn answer_session_streams(
             && s.set_read_timeout(Some(poll)).is_ok()
             && s.set_write_timeout(Some(poll)).is_ok();
         let reader = if ok { s.try_clone().ok() } else { None };
-        match reader {
-            Some(r) => pairs.push((
-                GuardedReader::new(r, Vec::new(), Arc::clone(ctl), i == 0),
-                GuardedWriter::new(s, Arc::clone(ctl)),
-            )),
-            None => {
-                server.registry().fail_handshake(id);
-                return None;
-            }
-        }
+        let r = reader?;
+        pairs.push((
+            GuardedReader::new(r, Vec::new(), Arc::clone(ctl), i == 0),
+            GuardedWriter::new(s, Arc::clone(ctl)),
+        ));
     }
     Some(pairs)
 }
@@ -592,11 +589,11 @@ fn serve_new_session(server: Arc<Server>, streams: Vec<TcpStream>, peer: SocketA
         next_seq: 0,
         delivered_raw: 0,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
-        return;
-    };
     let cfg = server.conn_config(id, n, &peer_label);
     server.registry().activate(id, n);
+    let Some(pairs) = answer_session_streams(&server, &ctl, streams, &accept) else {
+        return;
+    };
     match AdocStreamGroup::from_negotiated(pairs, cfg) {
         Ok(group) => run_session(
             &server,
@@ -688,12 +685,10 @@ fn serve_resumed_session(
         next_seq,
         delivered_raw,
     };
-    let Some(pairs) = answer_session_streams(&server, id, &ctl, streams, &accept) else {
-        return;
-    };
     // The new transport may have a different stream count; the sender
     // re-stripes accordingly. Scheduler state (tier, weight, token
-    // balance, admitted bytes) carries over when it was captured.
+    // balance, admitted bytes) carries over when it was captured. The
+    // resume is published before the client gets its accept.
     let cfg = match parked.carryover {
         Some(co) => server.conn_config_resumed(id, n, co),
         None => server.conn_config(id, n, &peer_label),
@@ -705,6 +700,9 @@ fn serve_resumed_session(
         streams: n,
         mid_message: parked.partial.is_some(),
     });
+    let Some(pairs) = answer_session_streams(&server, &ctl, streams, &accept) else {
+        return;
+    };
     match AdocStreamGroup::from_negotiated(pairs, cfg) {
         Ok(group) => run_session(
             &server,

@@ -678,7 +678,7 @@ impl Server {
         // handle: delay snapshots flow registry-ward on every update and
         // the registry policy steers level bounds back through it.
         cfg.ensure_signal_hub();
-        if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
+        if let Some(hub) = cfg.signals.clone() {
             self.registry.attach_hub(id, hub);
         }
         cfg
@@ -702,7 +702,7 @@ impl Server {
             .with_cpu(Arc::clone(&base.throttle));
         let mut cfg = base.with_throttle(Arc::new(throttle)).with_streams(streams);
         cfg.ensure_signal_hub();
-        if let Some(hub) = cfg.signals.clone().filter(|_| cfg.delay_signals) {
+        if let Some(hub) = cfg.signals.clone() {
             self.registry.attach_hub(id, hub);
         }
         cfg

@@ -24,7 +24,14 @@ fn captured_wire(data: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
     let mut src = data;
     let cfg = AdocConfig::default().with_levels(2, 10);
-    adoc::sender::send_message(&mut wire, &mut src, data.len() as u64, &cfg).unwrap();
+    adoc::sender::send_message(
+        std::slice::from_mut(&mut wire),
+        &mut src,
+        data.len() as u64,
+        None,
+        &cfg,
+    )
+    .unwrap();
     wire
 }
 
@@ -196,7 +203,14 @@ fn emission_death_with_full_queue_unblocks_producer() {
         let data = generate(DataKind::Incompressible, 2 << 20, 0xDEAD);
         let mut sink = StallThenFail { wrote: 0 };
         let mut src = &data[..];
-        adoc::sender::send_message(&mut sink, &mut src, data.len() as u64, &cfg).is_err()
+        adoc::sender::send_message(
+            std::slice::from_mut(&mut sink),
+            &mut src,
+            data.len() as u64,
+            None,
+            &cfg,
+        )
+        .is_err()
     });
 }
 
@@ -219,13 +233,27 @@ fn panicking_decoder_thread_does_not_hang_receive() {
     let data = payload(2 << 20);
     let mut wire = Vec::new();
     let mut src = &data[..];
-    adoc::sender::send_message(&mut wire, &mut src, data.len() as u64, &tx_cfg).unwrap();
+    adoc::sender::send_message(
+        std::slice::from_mut(&mut wire),
+        &mut src,
+        data.len() as u64,
+        None,
+        &tx_cfg,
+    )
+    .unwrap();
 
     must_finish_within(20, "receive with a panicking decoder", move || {
         let rx_cfg = AdocConfig::default().with_throttle(std::sync::Arc::new(PanicThrottle));
         let mut c = std::io::Cursor::new(wire);
         let mut out = std::io::sink();
-        adoc::receiver::receive_message(&mut c, &mut out, &rx_cfg).is_err()
+        adoc::receiver::receive_message(
+            std::slice::from_mut(&mut c),
+            &mut out,
+            None,
+            &rx_cfg,
+            &mut Default::default(),
+        )
+        .is_err()
     });
 }
 
@@ -249,7 +277,7 @@ fn striped_receiver_vanishing_fails_all_streams() {
         let cfg = AdocConfig::default().with_levels(1, 10);
         let data = generate(DataKind::Ascii, 8 << 20, 0xF00D);
         let mut src = &data[..];
-        let res = adoc::sender::send_message_multi(&mut writers, &mut src, data.len() as u64, &cfg);
+        let res = adoc::sender::send_message(&mut writers, &mut src, data.len() as u64, None, &cfg);
         killer.join().unwrap();
         res.is_err()
     });
@@ -414,6 +442,42 @@ fn tampered_ticket_rejected_before_admission() {
         accepted_before,
         "a rejected ticket must never reach registry admission"
     );
+    handle.shutdown().expect("clean drain");
+}
+
+#[test]
+fn ticket_rejection_is_counted_before_the_client_sees_it() {
+    // Regression for a publish-after-reply race: the server used to write
+    // the rejection before bumping its counters, so a fast client could
+    // read its AuthFailed and still find `rejected` unchanged. One stream
+    // per attempt makes the expected count exact after every error.
+    let handle = spawn_session_server(
+        ServerConfig::builder()
+            .auth_secret(SECRET.to_vec())
+            .require_auth(true)
+            .build()
+            .unwrap(),
+    );
+    let server = Arc::clone(handle.server());
+    let addr = handle.addr();
+    let (conn, info) = AdocStreamGroup::connect_session(addr, AdocConfig::default(), Some(SECRET))
+        .expect("connect");
+    drop(conn);
+    let mut bad = info.ticket;
+    bad.mac[0] ^= 0x01;
+    for attempt in 1..=100u64 {
+        let err = AdocStreamGroup::resume_session(addr, AdocConfig::default(), &bad)
+            .expect_err("tampered ticket must be refused");
+        assert!(
+            matches!(AdocError::from_io(&err), Some(AdocError::AuthFailed { .. })),
+            "want AuthFailed, got {err:?}"
+        );
+        assert_eq!(
+            server.sessions().stats().rejected,
+            attempt,
+            "rejection {attempt} not counted before the reply"
+        );
+    }
     handle.shutdown().expect("clean drain");
 }
 

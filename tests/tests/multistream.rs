@@ -3,8 +3,8 @@
 //! reassembly correctness over pathological geometries and stream
 //! counts, stalled-stream behaviour, and real TCP stream groups.
 
-use adoc::receiver::receive_message_multi;
-use adoc::sender::{send_message, send_message_multi};
+use adoc::receiver::{receive_message, RecvProgress};
+use adoc::sender::send_message;
 use adoc::{AdocConfig, AdocStreamGroup};
 use adoc_data::{generate, DataKind};
 use adoc_sim::pipe::{duplex_pipe, PipeReader, PipeWriter};
@@ -37,27 +37,53 @@ fn group_pair(n: usize, cfg: &AdocConfig) -> (Group, Group) {
     group_pair_caps(&vec![1 << 20; n], cfg)
 }
 
+/// Captures what a one-stream connection puts on the wire for one
+/// `write` of `data` into an instant `Vec` sink.
+fn one_stream_wire(data: &[u8]) -> Vec<u8> {
+    let mut sock = adoc::AdocSocket::new(std::io::empty(), Vec::new());
+    sock.write(data).unwrap();
+    sock.into_inner().1
+}
+
 #[test]
 fn single_stream_wire_is_byte_identical_v1() {
     // The compatibility contract from the negotiation rule: a 1-stream
-    // group writes exactly what the v1 sender writes — asserted against
-    // both the v1 implementation and a hand-built golden message.
-    let data = generate(DataKind::Ascii, 100_000, 7);
+    // connection emits the v1 format, pinned here against golden bytes
+    // built from the wire constants alone.
+    use adoc::wire::{FRAME_HEADER_LEN, MAGIC, MSG_HEADER_LEN};
     let cfg = AdocConfig::default();
-    let mut v1 = Vec::new();
-    let mut src = &data[..];
-    send_message(&mut v1, &mut src, data.len() as u64, &cfg).unwrap();
 
-    let mut group = vec![Vec::new()];
-    let mut src = &data[..];
-    send_message_multi(&mut group, &mut src, data.len() as u64, &cfg).unwrap();
-    assert_eq!(group[0], v1, "streams == 1 must emit v1 bytes");
-
-    // Golden direct-path layout: magic, kind, u64 length, raw payload.
-    let mut golden = vec![0xADu8, 0x00];
+    // Direct path: magic, kind 0, u64 length, raw payload.
+    let data = generate(DataKind::Ascii, 100_000, 7);
+    let mut golden = vec![MAGIC, 0x00];
     golden.extend_from_slice(&(data.len() as u64).to_le_bytes());
     golden.extend_from_slice(&data);
-    assert_eq!(group[0], golden, "v1 direct framing drifted");
+    assert_eq!(one_stream_wire(&data), golden, "v1 direct framing drifted");
+
+    // Fast path (an instant sink outruns the probe's threshold):
+    // magic, kind 1, u64 length, u32 probe length, the probe bytes, then
+    // raw level-0 frames of `buffer_size` (level, raw_len, payload_len).
+    let data = generate(DataKind::Ascii, 1_000_000, 8);
+    let probe = cfg.probe_size;
+    let mut golden = vec![MAGIC, 0x01];
+    golden.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    golden.extend_from_slice(&(probe as u32).to_le_bytes());
+    golden.extend_from_slice(&data[..probe]);
+    for chunk in data[probe..].chunks(cfg.buffer_size) {
+        golden.push(0);
+        golden.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+        golden.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+        golden.extend_from_slice(chunk);
+    }
+    assert_eq!(
+        golden.len(),
+        MSG_HEADER_LEN + 4 + data.len() + 4 * FRAME_HEADER_LEN
+    );
+    assert_eq!(
+        one_stream_wire(&data),
+        golden,
+        "v1 fast-path framing drifted"
+    );
 }
 
 #[test]
@@ -208,7 +234,7 @@ proptest! {
 
         let mut sinks: Vec<Vec<u8>> = vec![Vec::new(); streams];
         let mut src = &data[..];
-        send_message_multi(&mut sinks, &mut src, data.len() as u64, &cfg).unwrap();
+        send_message(&mut sinks, &mut src, data.len() as u64, None, &cfg).unwrap();
         prop_assert_eq!(
             cfg.pool.stats().outstanding, 0,
             "sender leaked pooled buffers"
@@ -216,7 +242,7 @@ proptest! {
 
         let mut cursors: Vec<Cursor<Vec<u8>>> = sinks.into_iter().map(Cursor::new).collect();
         let mut out = Vec::new();
-        let got = receive_message_multi(&mut cursors, &mut out, &cfg).unwrap();
+        let got = receive_message(&mut cursors, &mut out, None, &cfg, &mut RecvProgress::default()).unwrap();
         prop_assert_eq!(got, Some(data.len() as u64));
         prop_assert_eq!(out, data, "delivery must be byte-exact (streams = {})", streams);
         prop_assert_eq!(
